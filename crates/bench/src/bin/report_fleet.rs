@@ -28,13 +28,15 @@
 //!   makes the CoW number meaningful);
 //! * a CoW fork must copy zero private frames up front;
 //! * the fleet must produce bit-identical logs, metrics and latencies
-//!   with CoW disabled (`no_cow`), proving CoW is guest-invisible.
+//!   with CoW disabled (`no_cow`), proving CoW is guest-invisible;
+//! * every fleet run must end with each variant the pool compiled taken
+//!   or withdrawn (an accounting identity, not a timing threshold).
 
 use std::process::ExitCode;
 use std::time::Instant;
 
 use r2c_attacks::victim::victim_module;
-use r2c_bench::TablePrinter;
+use r2c_bench::{check_pool, pool_json, pool_line, TablePrinter};
 use r2c_core::R2cConfig;
 use r2c_serve::{run_fleet, ExecMode, FleetConfig, FleetRun, ReactionPolicy, Schedule};
 use r2c_vm::image::{Image, NativeKind, SectionLayout, Symbol, SymbolKind};
@@ -76,7 +78,8 @@ fn parse_args() -> Args {
 
 /// Runs a scenario in work-stealing parallel mode; with `verify`,
 /// re-runs serially and records any divergence (log, metrics, or the
-/// per-request latency vector) in `errors`.
+/// per-request latency vector) in `errors`. Every run is checked for
+/// stranded pool variants.
 fn run_verified(
     module: &r2c_ir::Module,
     fc: &FleetConfig,
@@ -88,8 +91,10 @@ fn run_verified(
     let t0 = Instant::now();
     let parallel = run_fleet(module, fc, sched, ExecMode::Parallel);
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+    check_pool(&format!("{label} (parallel)"), &parallel, errors);
     if verify {
         let serial = run_fleet(module, fc, sched, ExecMode::Serial);
+        check_pool(&format!("{label} (serial)"), &serial, errors);
         if serial.log != parallel.log {
             errors.push(format!("{label}: parallel log diverged from serial"));
         }
@@ -319,6 +324,10 @@ fn main() -> ExitCode {
             wall_ms,
         });
     }
+    println!("\nvariant pool per fleet (host-side):");
+    for r in &scaling {
+        println!("  {:>5} workers: {}", r.workers, pool_line(&r.run.pool));
+    }
     let served_small = scaling.first().map_or(0, |r| r.run.metrics.served);
     let served_large = scaling.last().map_or(0, |r| r.run.metrics.served);
     if served_large <= served_small {
@@ -365,6 +374,7 @@ fn main() -> ExitCode {
         p999,
         lat.last().copied().unwrap_or(0)
     );
+    println!("  variant pool: {}", pool_line(&tail_run.pool));
     if lat.is_empty() {
         errors.push("tail-latency scenario served no requests".into());
     }
@@ -377,6 +387,7 @@ fn main() -> ExitCode {
         ..tail_fc.clone()
     };
     let deep_run = run_fleet(&victim, &deep_fc, &tail_sched, ExecMode::Parallel);
+    check_pool("tail/no-cow", &deep_run, &mut errors);
     let cow_log_ok = deep_run.log == tail_run.log;
     let cow_metrics_ok = deep_run.metrics == tail_run.metrics;
     let cow_lat_ok = deep_run.request_latencies == tail_run.request_latencies;
@@ -508,15 +519,20 @@ fn main() -> ExitCode {
             0.0
         };
         json.push_str(&format!(
-            "      {{\"workers\": {}, \"wall_ms\": {:.2}, \"requests_per_sec\": {:.0}}}{}\n",
+            "      {{\"workers\": {}, \"wall_ms\": {:.2}, \"requests_per_sec\": {:.0}, \"pool\": {}}}{}\n",
             r.workers,
             r.wall_ms,
             req_per_s,
+            pool_json(&r.run.pool),
             if i + 1 == scaling.len() { "" } else { "," }
         ));
     }
     json.push_str("    ],\n");
     json.push_str(&format!("    \"tail_wall_ms\": {tail_wall_ms:.2},\n"));
+    json.push_str(&format!(
+        "    \"tail_pool\": {},\n",
+        pool_json(&tail_run.pool)
+    ));
     json.push_str("    \"fork_cost\": [\n");
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(

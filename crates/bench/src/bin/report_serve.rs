@@ -19,14 +19,15 @@
 //! machine running the report).
 //!
 //! Exits non-zero if a §7.3 invariant fails: `RespawnFreshVariant` must
-//! strictly outlast `RestartSameImage` under probe load, and a warm
-//! respawn must be cheaper than a cold compile.
+//! strictly outlast `RestartSameImage` under probe load, a warm respawn
+//! must be cheaper than a cold compile, and every variant the pool
+//! compiled must end up taken or withdrawn.
 
 use std::process::ExitCode;
 use std::time::Duration;
 
 use r2c_attacks::victim::victim_module;
-use r2c_bench::TablePrinter;
+use r2c_bench::{check_pool, pool_json, pool_line, TablePrinter};
 use r2c_core::{R2cConfig, TakeKind};
 use r2c_serve::{run_fleet, ExecMode, FleetConfig, FleetRun, ReactionPolicy, Schedule};
 use r2c_workloads::{webserver_module, ServerKind};
@@ -67,7 +68,8 @@ fn parse_args() -> Args {
 }
 
 /// Runs a scenario in parallel mode; with `verify`, re-runs serially
-/// and records any log/metric divergence in `errors`.
+/// and records any log/metric divergence in `errors`. Every run is
+/// checked for stranded pool variants.
 fn run_verified(
     module: &r2c_ir::Module,
     fc: &FleetConfig,
@@ -77,8 +79,10 @@ fn run_verified(
     errors: &mut Vec<String>,
 ) -> FleetRun {
     let parallel = run_fleet(module, fc, sched, ExecMode::Parallel);
+    check_pool(&format!("{label} (parallel)"), &parallel, errors);
     if verify {
         let serial = run_fleet(module, fc, sched, ExecMode::Serial);
+        check_pool(&format!("{label} (serial)"), &serial, errors);
         if serial.log != parallel.log {
             errors.push(format!("{label}: parallel log diverged from serial"));
         }
@@ -337,6 +341,7 @@ fn main() -> ExitCode {
         "gen-0 boot compiles: n={} mean {:.1} us",
         boot_stats.n, boot_stats.mean_us
     );
+    println!("variant pool: {}", pool_line(&fresh_run.pool));
     if ws_stats.n == 0 || cs_stats.n == 0 {
         errors.push(format!(
             "latency sample missing: {} warm takes, {} cold compiles",
@@ -427,6 +432,7 @@ fn main() -> ExitCode {
         "    \"boot_compile\": {{\"n\": {}, \"mean_us\": {:.2}}},\n",
         boot_stats.n, boot_stats.mean_us
     ));
+    json.push_str(&format!("    \"pool\": {},\n", pool_json(&fresh_run.pool)));
     json.push_str(&format!(
         "    \"warm_speedup\": {:.3}\n",
         if ws_stats.mean_us > 0.0 {

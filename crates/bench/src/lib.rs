@@ -26,8 +26,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-use r2c_core::{R2cCompiler, R2cConfig};
+use r2c_core::{PoolStats, R2cCompiler, R2cConfig};
 use r2c_ir::Module;
+use r2c_serve::FleetRun;
 use r2c_vm::{ExecStats, ExitStatus, MachineKind, Vm, VmConfig};
 
 /// One measured run of a module under a configuration.
@@ -254,6 +255,37 @@ pub fn geomean(xs: &[f64]) -> f64 {
 /// Formats a ratio as the paper's percentage overhead.
 pub fn pct(ratio: f64) -> String {
     format!("{:+.1}%", (ratio - 1.0) * 100.0)
+}
+
+/// A fleet run's variant-pool counters as a JSON object. Host-side: the
+/// warm/in-flight/cold split depends on thread timing.
+pub fn pool_json(p: &PoolStats) -> String {
+    format!(
+        "{{\"compiled\": {}, \"warm\": {}, \"in_flight\": {}, \"cold\": {}, \
+         \"withdrawn_before_compile\": {}, \"withdrawn_after_compile\": {}}}",
+        p.compiled, p.warm, p.in_flight, p.cold, p.withdrawn_queued, p.withdrawn_compiled
+    )
+}
+
+/// A fleet run's variant-pool counters as one report line.
+pub fn pool_line(p: &PoolStats) -> String {
+    format!(
+        "compiled {}, takes warm {} / in flight {} / cold {}, withdrawn {} before and {} after compile",
+        p.compiled, p.warm, p.in_flight, p.cold, p.withdrawn_queued, p.withdrawn_compiled
+    )
+}
+
+/// The pool's accounting identity for a finished fleet run: every
+/// compiled variant was taken or withdrawn. Unlike a latency gate it
+/// cannot flake, whatever the thread timing.
+pub fn check_pool(label: &str, run: &FleetRun, errors: &mut Vec<String>) {
+    let stranded = run.pool.stranded();
+    if stranded > 0 {
+        errors.push(format!(
+            "{label}: {stranded} compiled variants neither taken nor withdrawn ({})",
+            pool_line(&run.pool)
+        ));
+    }
 }
 
 /// Simple fixed-width table printer for the report binaries.

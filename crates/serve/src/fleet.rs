@@ -32,7 +32,7 @@
 use std::time::Duration;
 
 use r2c_attacks::victim::{MAGIC_ARG, PRIV_MARKER};
-use r2c_core::pool::{TakeKind, VariantPool};
+use r2c_core::pool::{PoolStats, TakeKind, VariantPool};
 use r2c_core::{R2cCompiler, R2cConfig};
 use r2c_ir::Module;
 use r2c_vm::image::Region;
@@ -100,7 +100,11 @@ pub struct FleetConfig {
     /// Background compile threads in the variant pool (0 = no
     /// background pre-compilation; every respawn compiles cold).
     pub pool_threads: usize,
-    /// Bounded capacity of the variant pool's ready cache.
+    /// Lookahead bound of the variant pool: the most variants it holds
+    /// compiled or compiling before a respawn takes them. Each worker's
+    /// next respawn is announced; background threads compile the
+    /// announcements in order while fewer than this many are parked or
+    /// in flight, and a take or a worker's withdrawal admits the next.
     pub pool_capacity: usize,
     /// Workers per work-stealing shard in [`ExecMode::Parallel`]. Small
     /// enough to balance load, large enough to amortize the steal.
@@ -135,12 +139,12 @@ impl FleetConfig {
         }
     }
 
-    /// Scales the variant pool for a fleet of `workers` workers: under
-    /// a respawn storm every worker can have a respawn in flight, so
-    /// the ready cache grows to hold one variant per 8 workers (at
-    /// least the default 8) and the background compile pool gains a
-    /// thread per 256 workers. Latency only — determinism is
-    /// unaffected by pool sizing.
+    /// Scales the variant pool for a fleet of `workers` workers: the
+    /// lookahead grows to one variant per 8 workers (at least the
+    /// default 8), enough to stay ahead of the serving threads as they
+    /// sweep the fleet, and the background compile pool gains a thread
+    /// per 256 workers. Latency only — determinism is unaffected by
+    /// pool sizing.
     pub fn sized_for(mut self, workers: u32) -> FleetConfig {
         self.pool_capacity = self.pool_capacity.max((workers as usize).div_ceil(8));
         self.pool_threads = self.pool_threads.max((workers as usize).div_ceil(256));
@@ -239,6 +243,10 @@ pub struct FleetRun {
     /// Host-side: wall-clock compile time of each worker's initial
     /// (generation-0) variant — the cold-boot reference.
     pub boot_compiles: Vec<Duration>,
+    /// Host-side: the variant pool's final counters (all zero without a
+    /// pool). Every worker withdraws its unused announcement, so
+    /// [`PoolStats::stranded`] is zero.
+    pub pool: PoolStats,
 }
 
 /// splitmix64 finalizer.
@@ -292,6 +300,19 @@ struct Worker<'a> {
     latencies: Vec<(u64, u64)>,
 }
 
+/// What the merge keeps of a worker once its slice has run. The VM and
+/// image are freed then, so a fleet's memory follows the workers in
+/// progress rather than the fleet size.
+struct Finished {
+    boot_line: String,
+    entries: Vec<(u64, String)>,
+    latencies: Vec<(u64, u64)>,
+    metrics: FleetMetrics,
+    first_compromise_idx: Option<u64>,
+    respawn_latencies: Vec<RespawnLatency>,
+    boot_compile: Duration,
+}
+
 /// Worker VM config: the fleet's machine model plus the CoW toggle.
 fn vm_config(fc: &FleetConfig) -> VmConfig {
     VmConfig {
@@ -339,6 +360,19 @@ impl<'a> Worker<'a> {
         let status = w.boot();
         w.boot_line = format!("boot w{id} g0 seed={seed} status={status}");
         w
+    }
+
+    /// Ends the worker's slice, dropping its VM and image.
+    fn finish(self) -> Finished {
+        Finished {
+            boot_line: self.boot_line,
+            entries: self.entries,
+            latencies: self.latencies,
+            metrics: self.metrics,
+            first_compromise_idx: self.first_compromise_idx,
+            respawn_latencies: self.respawn_latencies,
+            boot_compile: self.boot_compile,
+        }
     }
 
     /// Runs constructors + entry as worker warmup; resolves the service
@@ -569,9 +603,9 @@ pub fn run_fleet(
     schedule: &Schedule,
     mode: ExecMode,
 ) -> FleetRun {
-    let pool = (fc.policy == ReactionPolicy::RespawnFreshVariant && fc.pool_threads > 0)
+    let owned_pool = (fc.policy == ReactionPolicy::RespawnFreshVariant && fc.pool_threads > 0)
         .then(|| VariantPool::new(module, fc.build, fc.pool_capacity, fc.pool_threads));
-    let pool = pool.as_ref();
+    let pool = owned_pool.as_ref();
 
     // Partition the schedule per worker; workers share nothing, so each
     // can run its slice independently in any interleaving.
@@ -586,15 +620,20 @@ pub fn run_fleet(
         }
     }
 
-    let run_one = |id: u32, events: &[(u64, Event)]| -> Worker<'_> {
+    let run_one = |id: u32, events: &[(u64, Event)]| -> Finished {
         let mut w = Worker::spawn(id, module, fc, pool);
         for &(idx, ev) in events {
             w.handle(idx, ev);
         }
-        w
+        // The slice is over, so the next respawn it announced will never
+        // be taken: free its place in the lookahead.
+        if let Some(p) = pool {
+            p.withdraw(variant_seed(fc.fleet_seed, id, w.generation + 1));
+        }
+        w.finish()
     };
 
-    let workers: Vec<Worker<'_>> = match mode {
+    let workers: Vec<Finished> = match mode {
         ExecMode::Serial => per_worker
             .iter()
             .enumerate()
@@ -612,7 +651,7 @@ pub fn run_fleet(
             let shard = fc.shard_size.max(1);
             let nshards = per_worker.len().div_ceil(shard);
             let cursor = AtomicUsize::new(0);
-            let slots: Vec<std::sync::Mutex<Option<Vec<Worker<'_>>>>> =
+            let slots: Vec<std::sync::Mutex<Option<Vec<Finished>>>> =
                 (0..nshards).map(|_| std::sync::Mutex::new(None)).collect();
             let nthreads = std::thread::available_parallelism()
                 .map_or(4, |n| n.get())
@@ -626,7 +665,7 @@ pub fn run_fleet(
                         }
                         let lo = i * shard;
                         let hi = (lo + shard).min(per_worker.len());
-                        let ws: Vec<Worker<'_>> = (lo..hi)
+                        let ws: Vec<Finished> = (lo..hi)
                             .map(|id| run_one(id as u32, &per_worker[id]))
                             .collect();
                         *slots[i].lock().unwrap() = Some(ws);
@@ -692,5 +731,6 @@ pub fn run_fleet(
         request_latencies: latencies.into_iter().map(|(_, l)| l).collect(),
         respawn_latencies,
         boot_compiles,
+        pool: owned_pool.map(VariantPool::shutdown).unwrap_or_default(),
     }
 }

@@ -15,7 +15,7 @@
 //!
 //! Fresh-variant respawns draw from the warm
 //! [`r2c_core::pool::VariantPool`] so re-randomization is
-//! production-plausible (background pre-compilation, bounded cache;
+//! production-plausible (background pre-compilation, bounded lookahead;
 //! the `report_serve` benchmark compares warm and cold respawn
 //! latency). Fleet runs are bit-identical between serial and parallel
 //! execution for a fixed seed — see the determinism contract in

@@ -6,7 +6,7 @@
 //! monitor event log or the metrics.
 
 use r2c_attacks::victim::victim_module;
-use r2c_core::R2cConfig;
+use r2c_core::{PoolStats, R2cConfig};
 use r2c_serve::{run_fleet, ExecMode, FleetConfig, ReactionPolicy, Schedule};
 
 #[test]
@@ -115,6 +115,43 @@ fn pool_size_does_not_change_guest_state() {
     let b = run_fleet(&m, &unpooled, &sched, ExecMode::Serial);
     assert_eq!(a.log, b.log);
     assert_eq!(a.metrics, b.metrics);
+}
+
+/// The bounded-lookahead pool at fleet scale: a pooled 256-worker
+/// respawn run matches a pool-less one bit for bit, and the pool strands
+/// nothing. Every variant it compiled was taken by a respawn or withdrawn
+/// when its worker's slice ended.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "256-worker boots are too slow unoptimized; covered by the release CI job"
+)]
+fn pooled_256_worker_respawn_fleet_matches_pool_less_and_strands_nothing() {
+    let m = victim_module();
+    let sched = Schedule::generate_open_loop(0xB00C, 256, 1024, 150, 40_000);
+    let pooled = FleetConfig {
+        fleet_seed: 5,
+        ..FleetConfig::new(R2cConfig::full(0), ReactionPolicy::RespawnFreshVariant).sized_for(256)
+    };
+    let pool_less = FleetConfig {
+        pool_threads: 0,
+        ..pooled.clone()
+    };
+    let a = run_fleet(&m, &pooled, &sched, ExecMode::Parallel);
+    let b = run_fleet(&m, &pool_less, &sched, ExecMode::Serial);
+    assert_eq!(a.log, b.log, "the pool leaked into the log");
+    assert_eq!(a.metrics, b.metrics, "the pool leaked into the metrics");
+    assert_eq!(a.request_latencies, b.request_latencies);
+    assert!(a.metrics.respawns > 0, "probes must have forced respawns");
+    let p = a.pool;
+    assert!(p.compiled > 0, "the background threads compiled nothing");
+    assert_eq!(
+        p.stranded(),
+        0,
+        "compiled variants neither taken nor withdrawn: {p:?}"
+    );
+    assert_eq!(p.warm + p.in_flight + p.cold, a.metrics.respawns);
+    assert_eq!(b.pool, PoolStats::default(), "no pool, no counters");
 }
 
 #[test]

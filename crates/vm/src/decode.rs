@@ -58,7 +58,6 @@
 //!
 //! [`ExecStats`]: crate::stats::ExecStats
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
@@ -66,7 +65,7 @@ use std::sync::{Arc, Mutex, OnceLock, Weak};
 use crate::image::{Image, NativeKind, SectionLayout};
 use crate::insn::{AluOp, Cond, Insn, MemRef};
 use crate::machine::MachineConfig;
-use crate::mem::{MemSnapshot, Memory, Perms};
+use crate::mem::{FxHasher, MemSnapshot, Memory, Perms};
 use crate::regs::{Gpr, Ymm};
 use crate::VAddr;
 
@@ -679,8 +678,10 @@ fn cache() -> &'static Cache {
 /// machine cost model and fusion flag. Collisions are harmless — a hit
 /// is always verified with [`DecodedProgram::matches`] — but make the
 /// two images thrash one cache slot, so the hash covers everything.
+/// Every fresh variant misses the cache, so this runs on each load: the
+/// word-at-a-time FxHash takes the data bytes eight per round.
 fn fingerprint(image: &Image, machine: &MachineConfig, fuse: bool) -> u64 {
-    let mut h = DefaultHasher::new();
+    let mut h = FxHasher::default();
     image.insns.hash(&mut h);
     image.insn_addrs.hash(&mut h);
     image.entry.hash(&mut h);
@@ -755,7 +756,7 @@ fn build_init_mem(image: &Image) -> MemSnapshot {
         mem.poke(*addr, bytes);
     }
     mem.map(l.stack_top - l.stack_size, l.stack_size, Perms::RW);
-    mem.snapshot()
+    mem.into_snapshot()
 }
 
 fn build(image: &Image, machine: &MachineConfig, fuse: bool) -> DecodedProgram {

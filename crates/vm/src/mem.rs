@@ -47,7 +47,9 @@ use crate::fault::Fault;
 use crate::VAddr;
 
 /// FxHash (the rustc hash): a single multiply-xor round per word. Not
-/// DoS-resistant, which is fine here — see the module docs.
+/// DoS-resistant, which is fine here — see the module docs. Byte slices
+/// are consumed eight bytes per round, so hashing a large buffer (the
+/// decode cache fingerprints whole images) costs one round per word.
 #[derive(Default, Clone)]
 pub struct FxHasher {
     hash: u64,
@@ -63,8 +65,15 @@ impl FxHasher {
 impl Hasher for FxHasher {
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.add(b as u64);
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut w = [0u8; 8];
+            w[..tail.len()].copy_from_slice(tail);
+            self.add(u64::from_le_bytes(w));
         }
     }
 
@@ -424,6 +433,34 @@ impl Memory {
             table,
             resident: self.resident,
             arena: Arc::new(arena),
+            max_pages: self.max_pages,
+        }
+    }
+
+    /// [`Memory::snapshot`] for an address space that is not needed
+    /// afterwards: a freshly built one with no shared frames and no
+    /// freed slots adopts its private arena as the snapshot arena
+    /// (shrunk to fit) instead of copying every page. The loader builds
+    /// each image's load-time snapshot this way. Anything else falls
+    /// back to the copying [`Memory::snapshot`].
+    pub fn into_snapshot(mut self) -> MemSnapshot {
+        if !self.base.is_empty() || !self.free.is_empty() {
+            return self.snapshot();
+        }
+        // Every private slot backs exactly one mapped page; relabel the
+        // slots as shared, keeping their arena positions.
+        for r in self.table.values_mut() {
+            for e in Arc::make_mut(r).entries.iter_mut() {
+                if e.mapped && e.slot != NO_FRAME {
+                    e.slot |= SHARED_BIT;
+                }
+            }
+        }
+        self.frames.shrink_to_fit();
+        MemSnapshot {
+            table: self.table,
+            resident: self.resident,
+            arena: Arc::new(self.frames),
             max_pages: self.max_pages,
         }
     }
@@ -1333,6 +1370,51 @@ mod tests {
         assert_eq!(g.read_u64(0x10000).unwrap(), 0x4444);
         assert_eq!(g.read_u64(0x11000).unwrap(), 0x3333);
         assert_eq!(g.peek_u64(0x1000), 0x1111);
+    }
+
+    #[test]
+    fn into_snapshot_matches_snapshot() {
+        let copied = image().snapshot();
+        let adopted = image().into_snapshot();
+        assert_eq!(adopted.resident_pages(), copied.resident_pages());
+        assert_eq!(adopted.materialized_pages(), copied.materialized_pages());
+        let (a, c) = (
+            Memory::from_snapshot(&adopted),
+            Memory::from_snapshot(&copied),
+        );
+        assert_eq!(a.max_resident_pages(), c.max_resident_pages());
+        assert_eq!(a.shared_frames(), 3);
+        assert_eq!(a.private_frames(), 0);
+        let all = 0..0x30000;
+        assert_eq!(a.mapped_pages_in(0, all.end), c.mapped_pages_in(0, all.end));
+        for addr in all.step_by(PAGE_SIZE as usize / 2) {
+            assert_eq!(a.peek_u64(addr), c.peek_u64(addr), "bytes at {addr:#x}");
+        }
+        // A memory with freed slots takes the copying path.
+        let mut m = image();
+        m.unmap(0x10000, PAGE_SIZE);
+        let snap = m.into_snapshot();
+        assert_eq!(snap.materialized_pages(), 2);
+        assert_eq!(
+            Memory::from_snapshot(&snap).read_u64(0x11000).unwrap(),
+            0x3333
+        );
+    }
+
+    #[test]
+    fn fx_hasher_words_cover_every_byte() {
+        use std::hash::Hasher;
+        let hash = |bytes: &[u8]| {
+            let mut h = FxHasher::default();
+            h.write(bytes);
+            h.finish()
+        };
+        let base: Vec<u8> = (0..19).collect();
+        for i in 0..base.len() {
+            let mut flipped = base.clone();
+            flipped[i] ^= 0x80;
+            assert_ne!(hash(&base), hash(&flipped), "byte {i} not hashed");
+        }
     }
 
     #[test]
