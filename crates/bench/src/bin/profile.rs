@@ -4,13 +4,14 @@
 //! with the per-pass compile report, per-function cycle attribution,
 //! heap telemetry and the bounded event trace.
 //!
-//! Every profile run doubles as a three-way self-check of the
-//! execution engines: the decoded fast engine (fused superinstructions
-//! and block runs), the per-instruction engine (`no_fuse`), and the
-//! traced reference path must produce [`ExecStats`] that agree in
-//! *every* field, or the binary exits non-zero — so CI catches both a
-//! tracer that perturbs the simulation and a fused engine that drifts
-//! from the reference semantics. Folded stacks are additionally written
+//! Every profile run doubles as a three-way self-check of the decoded
+//! engine: the fused program (superinstructions and block runs), the
+//! unfused one (`no_fuse`, one standalone op per instruction), and the
+//! traced run (the tracer-calling copy of the engine on the fused
+//! program) must produce [`ExecStats`] that agree in *every* field, or
+//! the binary exits non-zero — so CI catches both a tracer that
+//! perturbs the simulation and a fused op that drifts from the
+//! per-instruction semantics. Folded stacks are additionally written
 //! to `PROFILE_<workload>_<machine>.folded`, ready for `flamegraph.pl`.
 //!
 //! ```text

@@ -53,6 +53,38 @@ fn tracing_is_invisible_on_webserver() {
     assert!(p.heap.frees > 0, "ctor frees must be observed");
 }
 
+/// Fused pairs and block runs must not blur attribution: a traced run
+/// on the fused program yields exactly the profile (per-function
+/// cycles, calls, folded stacks, heap telemetry, events) of a traced
+/// run on the unfused one, where every instruction is its own op.
+#[test]
+fn traced_profile_is_identical_fused_and_unfused() {
+    let omnetpp = &spec_workloads(Scale::Test)[4];
+    let nginx = r2c_workloads::webserver_module(ServerKind::Nginx, 100);
+    for (name, module, seed) in [("omnetpp", &omnetpp.module, 7), ("nginx", &nginx, 3)] {
+        let image = R2cCompiler::new(R2cConfig::full(seed))
+            .build(module)
+            .unwrap();
+        for machine in MachineKind::ALL {
+            let profile = |no_fuse: bool| {
+                let cfg = VmConfig {
+                    no_fuse,
+                    ..VmConfig::new(machine.config())
+                };
+                let mut vm = Vm::new(&image, cfg);
+                vm.enable_trace(&image, TraceConfig::default());
+                assert!(matches!(vm.run().status, ExitStatus::Exited(_)));
+                vm.trace_profile().unwrap().to_json()
+            };
+            assert!(
+                profile(false) == profile(true),
+                "traced profiles differ fused vs unfused ({name}, {})",
+                machine.name()
+            );
+        }
+    }
+}
+
 /// Attribution completeness: every cycle and instruction lands in
 /// exactly one per-function row, and the folded stacks account for the
 /// same cycle total.

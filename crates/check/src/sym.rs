@@ -2,8 +2,10 @@
 //!
 //! Two independent evaluators over a shared term arena:
 //!
-//! * [`sym_exec_insn`] gives the meaning of a source [`Insn`], mirroring
-//!   the reference interpreter (`Vm::exec_slow`) arm by arm;
+//! * [`sym_exec_insn`] gives the meaning of a source [`Insn`]. It is the
+//!   written per-`Insn` reference semantics: the VM has no separate
+//!   per-instruction interpreter, so every decoded block is proved
+//!   against this evaluator;
 //! * [`sym_exec_op`] gives the meaning of a decoded [`Op`], mirroring
 //!   the decoded engine (`Vm::exec_fast` / `Vm::exec_member` /
 //!   `quad_effects` / `alu_imm_quad_effects`) arm by arm.

@@ -9,7 +9,7 @@
 //!   buckets);
 //! * **VM edges** — execution statistics, engine-path counters
 //!   ([`r2c_vm::EdgeStats`]: block runs, mid-run rollbacks, budget
-//!   handoffs), the decoded-op (lowering-template / fusion-pattern)
+//!   edges), the decoded-op (lowering-template / fusion-pattern)
 //!   histogram, fault and detection kinds;
 //! * **IR shape** — CFG features of the generated module itself
 //!   (diamonds, loops and their nesting, direct/mutual recursion,

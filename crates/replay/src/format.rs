@@ -284,6 +284,8 @@ fn decode_op(r: &mut Reader<'_>, allow_rep: bool) -> Result<ReplayOp, String> {
                 return Err("nested rep".into());
             }
             let count = r.varint()?;
+            let count =
+                u32::try_from(count).map_err(|_| format!("rep count {count} exceeds u32"))?;
             if count < 2 {
                 return Err(format!("rep count {count} < 2"));
             }
@@ -292,10 +294,7 @@ fn decode_op(r: &mut Reader<'_>, allow_rep: bool) -> Result<ReplayOp, String> {
             for _ in 0..n {
                 body.push(decode_op(r, false)?);
             }
-            ReplayOp::Rep {
-                count: count as u32,
-                body,
-            }
+            ReplayOp::Rep { count, body }
         }
         other => return Err(format!("unknown op tag {other}")),
     })
@@ -450,6 +449,28 @@ mod tests {
         let bytes = t.encode();
         let back = CapturedTrace::decode(&bytes).unwrap();
         assert_eq!(back, t);
+    }
+
+    /// A `Rep` count is a u64 varint on the wire but a u32 in memory:
+    /// `u32::MAX` round-trips, one past it is an error, never a silent
+    /// truncation (2^32 + 1 used to decode as a count of 1).
+    #[test]
+    fn rep_count_past_u32_is_rejected() {
+        let mut t = sample();
+        t.ops = vec![ReplayOp::Rep {
+            count: u32::MAX,
+            body: vec![ReplayOp::BoundaryRet { at: 3 }],
+        }];
+        let good = t.encode();
+        assert_eq!(CapturedTrace::decode(&good).unwrap(), t);
+        // The trace ends with the rep: tag, count varint, body length
+        // (1 byte), body op (2 bytes).
+        let count_at = good.len() - 3 - 5; // u32::MAX is a 5-byte varint
+        let mut bad = good[..count_at].to_vec();
+        put_varint(&mut bad, (1u64 << 32) + 1);
+        bad.extend_from_slice(&good[good.len() - 3..]);
+        let err = CapturedTrace::decode(&bad).unwrap_err();
+        assert!(err.contains("exceeds u32"), "{err}");
     }
 
     #[test]

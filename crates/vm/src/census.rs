@@ -10,10 +10,11 @@
 //! dynamic mix — this module is that instrument.
 //!
 //! A [`PairCensus`] attaches to a [`Tracer`](crate::Tracer) (census
-//! runs are trace runs: they take the reference `exec_slow` path, so
-//! counting cannot perturb the measured execution) and observes the
-//! per-instruction `step` stream. A pair is counted when two
-//! consecutively executed instructions are *adjacent in memory*
+//! runs are trace runs: the tracer only observes, so counting cannot
+//! perturb the measured execution) and observes the per-instruction
+//! `step` stream, which the traced engine emits once per original
+//! instruction, fused pairs and block runs included. A pair is counted
+//! when two consecutively executed instructions are *adjacent in memory*
 //! (`index == prev_index + 1`) — exactly the adjacency the fusion pass
 //! requires — and classified by the same instruction classes the
 //! catalogue patterns are written in.

@@ -535,8 +535,8 @@ pub struct DecodedProgram {
     pub machine: MachineConfig,
     /// Whether superinstruction fusion was applied.
     pub fused: bool,
-    /// Verbatim instruction copy (slow path, disassembly, fault
-    /// recovery of unresolved branch targets).
+    /// Verbatim instruction copy (disassembly, traced call targets,
+    /// fault recovery of unresolved branch targets).
     pub insns: Vec<Insn>,
     /// Absolute instruction addresses, parallel to `insns`.
     pub insn_addrs: Vec<VAddr>,

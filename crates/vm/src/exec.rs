@@ -8,20 +8,18 @@
 //! booby-trap execution and guard-page access is recorded as a
 //! [`Detection`] event for the reactive-defense monitor.
 //!
-//! Execution has two engines sharing one semantic contract:
+//! There is one execution engine, [`Vm::exec_fast`], which runs the
+//! pre-decoded, superinstruction-fused IR from [`crate::decode`]. It is
+//! compiled twice: untraced VMs run the copy without tracer hooks, and
+//! traced, captured and census runs run the `TRACED` copy, which calls
+//! the [`Tracer`] once per *original* instruction. The written
+//! per-[`Insn`] reference is `r2c_check`'s `sym_exec_insn`, against
+//! which the translation validator proves every decoded block.
 //!
-//! * **the fast path** ([`Vm::exec_fast`]) runs the pre-decoded,
-//!   superinstruction-fused IR from [`crate::decode`] — this is what
-//!   untraced runs use;
-//! * **the slow path** ([`Vm::exec_slow`]) is the original per-[`Insn`]
-//!   interpreter, kept verbatim for trace-enabled runs (every tracer
-//!   hook lives here) and as the semantic reference the differential
-//!   suites compare the fast path against.
-//!
-//! Simulated [`ExecStats`] are bit-identical between the two, per seed,
-//! on every workload — the decoded engine re-checks the instruction
-//! budget and touches the simulated icache once per *original*
-//! instruction in original order, even inside fused pairs.
+//! Simulated [`ExecStats`] are bit-identical per seed whether a program
+//! runs fused, unfused (`no_fuse`) or traced — the engine re-checks the
+//! instruction budget and touches the simulated icache once per
+//! original instruction in original order, even inside fused pairs.
 
 use std::sync::Arc;
 
@@ -160,10 +158,10 @@ pub struct Vm {
     pub probes: Vec<StackSnapshot>,
     ymm_dirty: bool,
     pending_resume: Option<u32>,
-    /// Execution tracer (`None` by default). A traced VM runs the slow
-    /// path, where every hook lives; an untraced VM runs the decoded
-    /// fast path. Tracing only *observes* state — cycle counts stay
-    /// bit-identical either way, which the `profile` binary enforces.
+    /// Execution tracer (`None` by default). A traced VM runs the
+    /// `TRACED` copy of the decoded engine on the same (fused) program.
+    /// Tracing only *observes* state — cycle counts stay bit-identical
+    /// either way, which the `profile` binary enforces.
     tracer: Option<Box<Tracer>>,
 }
 
@@ -523,34 +521,52 @@ impl Vm {
 
     /// Executes starting at instruction index `idx` until the activation
     /// returns to the sentinel, the guest halts, or a fault occurs.
-    /// Trace-enabled runs take the slow path (all tracer hooks live
-    /// there); everything else runs the decoded engine.
+    /// A VM with a tracer attached runs the `TRACED` copy of the engine.
     fn exec_from(&mut self, idx: u32) -> RunOutcome {
         if self.tracer.is_some() {
-            self.exec_slow(idx)
+            self.exec_fast::<true>(idx)
         } else {
-            self.exec_fast(idx)
+            self.exec_fast::<false>(idx)
         }
     }
 
     /// The decoded-IR engine: pre-baked costs, pre-resolved direct
     /// branch targets, fused superinstructions.
     ///
-    /// Exactness protocol (audited against [`Vm::exec_slow`], enforced
-    /// by the differential suites): per original instruction, in
-    /// original order — budget check, then `instructions += 1`, then
-    /// `cycles += base_cost + icache.access(insn_addr)`, then the
-    /// instruction's effect (which may fault, ending the run with
-    /// exactly the partial stats the slow path would report). Fused
-    /// pairs run this sequence twice under a single dispatch.
-    fn exec_fast(&mut self, mut idx: u32) -> RunOutcome {
+    /// Exactness protocol (enforced by the fused/unfused/traced
+    /// differential suites and proved per block by the translation
+    /// validator): per original instruction, in original order —
+    /// budget check, then the tracer's `step` (`TRACED` only), then
+    /// `instructions += 1`, then `cycles += base_cost +
+    /// icache.access(insn_addr)`, then the instruction's effect (which
+    /// may fault, ending the run with exactly the partial stats of an
+    /// unfused run). Fused pairs run this sequence twice under a single
+    /// dispatch; block runs batch it, except on traced runs and at
+    /// budget edges.
+    fn exec_fast<const TRACED: bool>(&mut self, mut idx: u32) -> RunOutcome {
         let prog = Arc::clone(&self.prog);
         let ops = &prog.ops[..];
+        // Budget-edge fallbacks counted before this call (see `Op::Run`).
+        let handoffs = self.edges.slow_path_handoffs;
+        // Calls a tracer hook; compiled out of the untraced copy.
+        macro_rules! trace {
+            ($tr:ident => $e:expr) => {
+                if TRACED {
+                    if let Some($tr) = &mut self.tracer {
+                        $e;
+                    }
+                }
+            };
+        }
         loop {
             if self.stats.instructions >= self.cfg.insn_budget {
                 return self.finish(ExitStatus::Faulted(Fault::BudgetExhausted));
             }
             let dop = &ops[idx as usize];
+            // Counters *before* this instruction is charged: the delta
+            // since the previous step is the previous instruction's
+            // full cost, extras included.
+            trace!(tr => tr.step(dop.addr, self.stats.cycles, self.icache.stats().1));
             self.stats.instructions += 1;
             self.stats.cycles += dop.cost as u64 + self.icache.access(dop.addr);
 
@@ -598,17 +614,18 @@ impl Vm {
                 }};
             }
             // Charges the second half of a fused pair, exactly as the
-            // slow path would at the top of its next iteration: budget
-            // check, instruction count, base cost + icache at the
-            // second instruction's own address.
+            // loop preamble would charge it as a standalone op: budget
+            // check, tracer step, instruction count, base cost + icache
+            // at the second instruction's own address.
             macro_rules! second {
                 ($f2:expr) => {{
                     if self.stats.instructions >= self.cfg.insn_budget {
                         return self.finish(ExitStatus::Faulted(Fault::BudgetExhausted));
                     }
+                    let a2 = dop.addr + $f2.a2off as u64;
+                    trace!(tr => tr.step(a2, self.stats.cycles, self.icache.stats().1));
                     self.stats.instructions += 1;
-                    self.stats.cycles +=
-                        $f2.cost2 as u64 + self.icache.access(dop.addr + $f2.a2off as u64);
+                    self.stats.cycles += $f2.cost2 as u64 + self.icache.access(a2);
                 }};
             }
 
@@ -707,6 +724,10 @@ impl Vm {
                     self.charge_avx_transition();
                     self.stats.calls += 1;
                     try_mem!(self.push_word(ra));
+                    trace!(tr => tr.on_call(
+                        dop.addr,
+                        prog.insns[idx as usize].branch_target().expect("call is direct"),
+                    ));
                     direct_jump!(tgt, idx);
                 }
                 Op::CallInd { target, ra } => {
@@ -714,12 +735,19 @@ impl Vm {
                     self.stats.calls += 1;
                     let t = self.regs.get(target);
                     try_mem!(self.push_word(ra));
+                    trace!(tr => {
+                        tr.on_call(dop.addr, t);
+                        tr.on_indirect(dop.addr, t);
+                    });
                     jump_to!(t);
                 }
                 Op::CallNative { native, is_probe } => {
                     self.stats.native_calls += 1;
                     if let Err(f) = self.do_native(native, dop.addr) {
                         fault!(f);
+                    }
+                    if TRACED {
+                        self.trace_native(native);
                     }
                     if self.cfg.break_on_probe && is_probe {
                         self.pending_resume = Some(idx + 1);
@@ -730,6 +758,7 @@ impl Vm {
                     self.charge_avx_transition();
                     self.stats.rets += 1;
                     let ra = try_mem!(self.pop_word());
+                    trace!(tr => tr.on_ret(dop.addr));
                     if ra == EXIT_SENTINEL {
                         let rax = self.regs.get(Gpr::Rax);
                         return self.finish(ExitStatus::Exited(rax as i64));
@@ -991,6 +1020,7 @@ impl Vm {
                     self.charge_avx_transition();
                     self.stats.rets += 1;
                     let ra = try_mem!(self.pop_word());
+                    trace!(tr => tr.on_ret(dop.addr + f2.a2off as u64));
                     if ra == EXIT_SENTINEL {
                         let rax = self.regs.get(Gpr::Rax);
                         return self.finish(ExitStatus::Exited(rax as i64));
@@ -1015,13 +1045,20 @@ impl Vm {
                         fault!(f);
                     }
                     let m = ri.n as u64 - 1;
-                    // Budget edge: the members would cross the budget
-                    // mark mid-run. Let the reference engine finish the
-                    // block instruction by instruction (cold — reached
-                    // at most once per execution).
-                    if self.stats.instructions + m > self.cfg.insn_budget {
-                        self.edges.slow_path_handoffs += 1;
-                        return self.exec_slow(idx + 1);
+                    // Traced runs, and budget edges (the members would
+                    // cross the budget mark mid-run), continue at the
+                    // first member instead: Pass B of `decode::build`
+                    // keeps every member as its own standalone op, so
+                    // the loop charges, traces and budget-checks them
+                    // one at a time. A budget edge always ends this
+                    // call inside the run, so a nested run reached from
+                    // here is the same handoff, counted once.
+                    if TRACED || self.stats.instructions + m > self.cfg.insn_budget {
+                        if !TRACED {
+                            self.edges.slow_path_handoffs = handoffs + 1;
+                        }
+                        idx += 1;
+                        continue;
                     }
                     // Batch-charge every member up front, and touch the
                     // icache once per same-line segment as that segment
@@ -1067,8 +1104,8 @@ impl Vm {
                             {
                                 // Un-book the members past the faulting
                                 // one — they never ran. Its own charges
-                                // stay: the reference engine charges
-                                // count/cost/icache before the effect.
+                                // stay: a standalone op is charged
+                                // count/cost/icache before its effect.
                                 let k = e.k as u64 + half;
                                 self.edges.run_rollbacks += 1;
                                 self.stats.instructions -= m - (k + 1);
@@ -1441,244 +1478,6 @@ impl Vm {
             _ => unreachable!("control op inside a block run"),
         }
         Ok(())
-    }
-
-    /// The reference engine: the original per-[`Insn`] interpreter,
-    /// unchanged. Runs trace-enabled VMs (all tracer hooks are here)
-    /// and serves as the semantic baseline for the fast path.
-    fn exec_slow(&mut self, mut idx: u32) -> RunOutcome {
-        let prog = Arc::clone(&self.prog);
-        loop {
-            if self.stats.instructions >= self.cfg.insn_budget {
-                return self.finish(ExitStatus::Faulted(Fault::BudgetExhausted));
-            }
-            let insn = prog.insns[idx as usize];
-            let addr = prog.insn_addrs[idx as usize];
-            if let Some(tr) = &mut self.tracer {
-                // Counters *before* this instruction is charged: the
-                // delta since the previous step is the full cost of the
-                // previously executed instruction, extras included.
-                tr.step(addr, self.stats.cycles, self.icache.stats().1);
-            }
-            self.stats.instructions += 1;
-            self.stats.cycles += self.cfg.machine.base_cost(&insn) + self.icache.access(addr);
-
-            macro_rules! fault {
-                ($f:expr) => {
-                    return self.finish(ExitStatus::Faulted($f))
-                };
-            }
-            macro_rules! try_mem {
-                ($e:expr) => {
-                    match $e {
-                        Ok(v) => v,
-                        Err(f) => fault!(f),
-                    }
-                };
-            }
-            macro_rules! jump_to {
-                ($t:expr) => {{
-                    let t = $t;
-                    match self.index_of(t) {
-                        Some(i) => {
-                            idx = i;
-                            continue;
-                        }
-                        None => fault!(Fault::InvalidJump { target: t }),
-                    }
-                }};
-            }
-
-            match insn {
-                Insn::MovImm { dst, imm } | Insn::MovAbs { dst, imm } => self.regs.set(dst, imm),
-                Insn::MovReg { dst, src } => {
-                    let v = self.regs.get(src);
-                    self.regs.set(dst, v);
-                }
-                Insn::Load { dst, mem } => {
-                    let a = self.ea(&mem);
-                    let v = try_mem!(self.mem.read_u64(a));
-                    self.regs.set(dst, v);
-                }
-                Insn::Store { mem, src } => {
-                    let a = self.ea(&mem);
-                    let v = self.regs.get(src);
-                    try_mem!(self.mem.write_u64(a, v));
-                }
-                Insn::StoreImm { mem, imm } => {
-                    let a = self.ea(&mem);
-                    try_mem!(self.mem.write_u64(a, imm as i64 as u64));
-                }
-                Insn::Lea { dst, mem } => {
-                    let a = self.ea(&mem);
-                    self.regs.set(dst, a);
-                }
-                Insn::Push { src } => {
-                    let v = self.regs.get(src);
-                    try_mem!(self.push_word(v));
-                }
-                Insn::PushImm { imm } => try_mem!(self.push_word(imm)),
-                Insn::Pop { dst } => {
-                    let v = try_mem!(self.pop_word());
-                    self.regs.set(dst, v);
-                }
-                Insn::AluReg { op, dst, src } => {
-                    let a = self.regs.get(dst);
-                    let b = self.regs.get(src);
-                    let r = alu(op, a, b);
-                    self.regs.set(dst, r);
-                    self.regs.flags.set_result(r);
-                }
-                Insn::AluImm { op, dst, imm } => {
-                    let a = self.regs.get(dst);
-                    let r = alu(op, a, imm as i64 as u64);
-                    self.regs.set(dst, r);
-                    self.regs.flags.set_result(r);
-                }
-                Insn::Div { dst, src } => {
-                    let b = self.regs.get(src) as i64;
-                    if b == 0 {
-                        fault!(Fault::DivideByZero { addr });
-                    }
-                    let a = self.regs.get(dst) as i64;
-                    self.regs.set(dst, a.wrapping_div(b) as u64);
-                }
-                Insn::Rem { dst, src } => {
-                    let b = self.regs.get(src) as i64;
-                    if b == 0 {
-                        fault!(Fault::DivideByZero { addr });
-                    }
-                    let a = self.regs.get(dst) as i64;
-                    self.regs.set(dst, a.wrapping_rem(b) as u64);
-                }
-                Insn::CmpReg { a, b } => {
-                    let (x, y) = (self.regs.get(a), self.regs.get(b));
-                    self.regs.flags.set_cmp(x, y);
-                }
-                Insn::CmpImm { a, imm } => {
-                    let x = self.regs.get(a);
-                    self.regs.flags.set_cmp(x, imm as i64 as u64);
-                }
-                Insn::Test { a } => {
-                    let x = self.regs.get(a);
-                    self.regs.flags.set_test(x, x);
-                }
-                Insn::SetCc { cond, dst } => {
-                    let v = self.cond_holds(cond) as u64;
-                    self.regs.set(dst, v);
-                }
-                Insn::LoadAbs { dst, addr: a } => {
-                    let v = try_mem!(self.mem.read_u64(a));
-                    self.regs.set(dst, v);
-                }
-                Insn::VLoadAbs { dst, addr: a } => {
-                    if a % 32 != 0 {
-                        fault!(Fault::Misaligned { addr: a, align: 32 });
-                    }
-                    let mut buf = [0u8; 32];
-                    try_mem!(self.mem.read(a, &mut buf));
-                    self.regs.set_ymm(dst, buf);
-                    self.ymm_dirty = true;
-                }
-                Insn::Call { target } => {
-                    self.charge_avx_transition();
-                    self.stats.calls += 1;
-                    let ra = addr + insn.len();
-                    try_mem!(self.push_word(ra));
-                    if let Some(tr) = &mut self.tracer {
-                        tr.on_call(addr, target);
-                    }
-                    jump_to!(target);
-                }
-                Insn::CallInd { target } => {
-                    self.charge_avx_transition();
-                    self.stats.calls += 1;
-                    let t = self.regs.get(target);
-                    let ra = addr + insn.len();
-                    try_mem!(self.push_word(ra));
-                    if let Some(tr) = &mut self.tracer {
-                        tr.on_call(addr, t);
-                        tr.on_indirect(addr, t);
-                    }
-                    jump_to!(t);
-                }
-                Insn::CallNative { native } => {
-                    self.stats.native_calls += 1;
-                    if let Err(f) = self.do_native(native, addr) {
-                        fault!(f);
-                    }
-                    if self.tracer.is_some() {
-                        self.trace_native(native);
-                    }
-                    if self.cfg.break_on_probe
-                        && prog.natives.get(native as usize) == Some(&NativeKind::StackProbe)
-                    {
-                        self.pending_resume = Some(idx + 1);
-                        return self.finish(ExitStatus::Probed);
-                    }
-                }
-                Insn::Ret => {
-                    self.charge_avx_transition();
-                    self.stats.rets += 1;
-                    let ra = try_mem!(self.pop_word());
-                    if let Some(tr) = &mut self.tracer {
-                        tr.on_ret(addr);
-                    }
-                    if ra == EXIT_SENTINEL {
-                        let rax = self.regs.get(Gpr::Rax);
-                        return self.finish(ExitStatus::Exited(rax as i64));
-                    }
-                    jump_to!(ra);
-                }
-                Insn::Jmp { target } => jump_to!(target),
-                Insn::JmpInd { target } => {
-                    let t = self.regs.get(target);
-                    jump_to!(t);
-                }
-                Insn::Jcc { cond, target } => {
-                    if self.cond_holds(cond) {
-                        self.stats.cycles +=
-                            self.cfg.machine.taken_branch_cost - self.cfg.machine.branch_cost;
-                        jump_to!(target);
-                    }
-                }
-                Insn::Nop { .. } => {}
-                Insn::Trap => fault!(Fault::BoobyTrap { addr }),
-                Insn::VLoad { dst, mem, aligned } => {
-                    let a = self.ea(&mem);
-                    if aligned && !a.is_multiple_of(32) {
-                        fault!(Fault::Misaligned { addr: a, align: 32 });
-                    }
-                    let mut buf = [0u8; 32];
-                    try_mem!(self.mem.read(a, &mut buf));
-                    self.regs.set_ymm(dst, buf);
-                    self.ymm_dirty = true;
-                }
-                Insn::VStore { mem, src, aligned } => {
-                    let a = self.ea(&mem);
-                    if aligned && !a.is_multiple_of(32) {
-                        fault!(Fault::Misaligned { addr: a, align: 32 });
-                    }
-                    let buf = self.regs.get_ymm(src);
-                    try_mem!(self.mem.write(a, &buf));
-                    self.ymm_dirty = true;
-                }
-                Insn::VZeroUpper => {
-                    self.regs.vzeroupper();
-                    self.ymm_dirty = false;
-                }
-                Insn::Halt => {
-                    let code = self.regs.get(Gpr::Rdi);
-                    return self.finish(ExitStatus::Exited(code as i64));
-                }
-            }
-            idx += 1;
-            if idx as usize >= prog.insns.len() {
-                return self.finish(ExitStatus::Faulted(Fault::InvalidJump {
-                    target: addr + insn.len(),
-                }));
-            }
-        }
     }
 
     #[inline]

@@ -62,8 +62,9 @@ impl ExecStats {
 /// which *implementation* paths ran — a fused run legitimately takes
 /// block runs and rollbacks an unfused run never sees. Keeping them
 /// separate preserves the equality contracts while still letting the
-/// fuzzer observe rare engine edges (mid-run fault rollback, budget
-/// handoff to the reference engine) as coverage features.
+/// fuzzer observe rare engine edges (mid-run fault rollback, a block
+/// run falling back to per-op execution at the budget edge) as coverage
+/// features.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EdgeStats {
     /// Block runs entered by the decoded engine (`Op::Run` dispatches).
@@ -71,8 +72,12 @@ pub struct EdgeStats {
     /// Mid-run faults that took the positional rollback path (member
     /// charges un-booked, icache pending rolled back).
     pub run_rollbacks: u64,
-    /// Budget-edge handoffs from the decoded engine to the reference
-    /// per-instruction engine (`exec_slow`).
+    /// Budget edges: calls in which a block run's members would have
+    /// crossed the instruction budget, so the untraced engine ran them
+    /// one standalone op at a time instead of batch-charging them (at
+    /// most one per call, since the budget runs out inside that run).
+    /// The name predates the single engine; the benchmark ledger and
+    /// the fuzzer's coverage features read it under this name.
     pub slow_path_handoffs: u64,
 }
 

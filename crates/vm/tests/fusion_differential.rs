@@ -1,25 +1,28 @@
 //! Differential suite for the decoded execution engine: every program
-//! runs twice from the same [`Image`] — once with superinstruction
-//! fusion and block runs (`no_fuse: false`), once on per-instruction
-//! decoding (`no_fuse: true`) — and everything observable must be
-//! bit-identical: exit status, [`ExecStats`] (instructions, cycles,
-//! icache hits/misses, rss), printed output, all sixteen GPRs, the
-//! data section's bytes, and heap/rss accounting.
+//! runs four times from the same [`Image`] — with superinstruction
+//! fusion and block runs (`no_fuse: false`) and on per-instruction
+//! decoding (`no_fuse: true`), each untraced and traced — and
+//! everything observable must be bit-identical: exit status,
+//! [`ExecStats`] (instructions, cycles, icache hits/misses, rss),
+//! printed output, all sixteen GPRs, the data section's bytes, and
+//! heap/rss accounting.
 //!
 //! The programs are built to pin the tricky corners of the fused
 //! engine, not just the happy path: every pattern in the fusion
 //! catalogue, the 4-instruction lowerer template that becomes a quad
 //! superinstruction, faults in the middle of a fused pair and in the
 //! middle of a block run (exercising the batch-charge rollback),
-//! budget exhaustion inside a run, and indirect jumps into the middle
-//! of fused pairs and runs (which must fall back to standalone member
-//! execution).
+//! budget exhaustion at every point of a run, and indirect jumps into
+//! the middle of fused pairs and runs (which must fall back to
+//! standalone member execution). The traced lanes run the
+//! tracer-calling copy of the engine, whose block runs always take the
+//! per-op path.
 
 use r2c_vm::insn::AluOp;
 use r2c_vm::unwind::UnwindTable;
 use r2c_vm::{
     Cond, ExitStatus, Fault, Gpr, Image, Insn, MachineKind, MemRef, NativeKind, SectionLayout,
-    Symbol, SymbolKind, Vm, VmConfig, PAGE_SIZE,
+    Symbol, SymbolKind, TraceConfig, Vm, VmConfig, PAGE_SIZE,
 };
 
 const TEXT_BASE: u64 = 0x40_0000;
@@ -69,14 +72,15 @@ fn addr_of(insns: &[Insn], i: usize) -> u64 {
     TEXT_BASE + insns[..i].iter().map(|x| x.len()).sum::<u64>()
 }
 
-/// Runs `insns` on a fused and an unfused VM and asserts every
-/// observable agrees. Returns the shared outcome for extra assertions.
+/// Runs `insns` on fused and unfused VMs, each untraced and traced,
+/// and asserts every observable agrees. Returns the shared outcome for
+/// extra assertions.
 fn run_both(insns: Vec<Insn>, natives: Vec<NativeKind>) -> (ExitStatus, r2c_vm::ExecStats) {
     run_both_with(insns, natives, |_| {})
 }
 
 /// [`run_both`] with a configuration hook (budget, etc.) applied to
-/// both VMs before running.
+/// every VM before running.
 fn run_both_with(
     insns: Vec<Insn>,
     natives: Vec<NativeKind>,
@@ -84,52 +88,50 @@ fn run_both_with(
 ) -> (ExitStatus, r2c_vm::ExecStats) {
     let image = asm(insns, natives);
     let cfg = VmConfig::new(MachineKind::EpycRome.config());
-    let mut fused = Vm::new(
-        &image,
-        VmConfig {
-            no_fuse: false,
-            ..cfg
-        },
-    );
-    let mut unfused = Vm::new(
-        &image,
-        VmConfig {
-            no_fuse: true,
-            ..cfg
-        },
-    );
-    assert!(fused.fusion_enabled());
-    assert!(!unfused.fusion_enabled());
+    let lane = |no_fuse: bool, traced: bool| {
+        let mut vm = Vm::new(&image, VmConfig { no_fuse, ..cfg });
+        assert_eq!(vm.fusion_enabled(), !no_fuse);
+        if traced {
+            vm.enable_trace(&image, TraceConfig::default());
+        }
+        prep(&mut vm);
+        let out = vm.run();
+        (format!("no_fuse={no_fuse} traced={traced}"), vm, out)
+    };
+    let (_, fused, a) = lane(false, false);
+    let others = [lane(true, false), lane(false, true), lane(true, true)];
     assert_ne!(
         fused.decoded_program_id(),
-        unfused.decoded_program_id(),
+        others[0].1.decoded_program_id(),
         "fused and unfused must decode to distinct programs"
     );
-    prep(&mut fused);
-    prep(&mut unfused);
-    let a = fused.run();
-    let b = unfused.run();
-    assert_eq!(a.status, b.status, "exit status diverged");
-    assert_eq!(a.stats, b.stats, "ExecStats diverged");
-    assert_eq!(fused.output, unfused.output, "printed output diverged");
-    for g in Gpr::ALL {
+    let mut da = vec![0u8; (DATA_END - DATA_BASE) as usize];
+    fused.mem.peek(DATA_BASE, &mut da);
+    for (name, vm, b) in &others {
+        assert_eq!(a.status, b.status, "exit status diverged ({name})");
+        assert_eq!(a.stats, b.stats, "ExecStats diverged ({name})");
+        assert_eq!(fused.output, vm.output, "printed output diverged ({name})");
+        for g in Gpr::ALL {
+            assert_eq!(
+                fused.regs.get(g),
+                vm.regs.get(g),
+                "register {g:?} diverged ({name})"
+            );
+        }
+        let mut db = vec![0u8; da.len()];
+        vm.mem.peek(DATA_BASE, &mut db);
+        assert_eq!(da, db, "data section diverged ({name})");
         assert_eq!(
-            fused.regs.get(g),
-            unfused.regs.get(g),
-            "register {g:?} diverged"
+            fused.mem.resident_pages(),
+            vm.mem.resident_pages(),
+            "resident page count diverged ({name})"
+        );
+        assert_eq!(
+            fused.heap.in_use(),
+            vm.heap.in_use(),
+            "heap diverged ({name})"
         );
     }
-    let mut da = vec![0u8; (DATA_END - DATA_BASE) as usize];
-    let mut db = da.clone();
-    fused.mem.peek(DATA_BASE, &mut da);
-    unfused.mem.peek(DATA_BASE, &mut db);
-    assert_eq!(da, db, "data section diverged");
-    assert_eq!(
-        fused.mem.resident_pages(),
-        unfused.mem.resident_pages(),
-        "resident page count diverged"
-    );
-    assert_eq!(fused.heap.in_use(), unfused.heap.in_use());
     (a.status, a.stats)
 }
 
@@ -529,9 +531,12 @@ fn mid_pair_second_half_fault_agrees() {
     assert!(matches!(status, ExitStatus::Faulted(_)));
 }
 
-/// Budget exhaustion landing in the middle of a block run: the fused
-/// engine must hand the tail to the reference engine and stop at
-/// exactly the same instruction count.
+/// Budget exhaustion at every point of a loop whose body is a block
+/// run with a nested run at the loop head: the fused engine must run
+/// the members one op at a time from the budget edge on and stop at
+/// exactly the same instruction count. Budgets 1 to 60 put the edge
+/// at every member offset of both the outer run (entered once) and
+/// the nested run (entered every iteration).
 #[test]
 fn budget_exhaustion_mid_run_agrees() {
     let mut insns = vec![Insn::MovImm {
@@ -560,14 +565,25 @@ fn budget_exhaustion_mid_run_agrees() {
         target: loop_head,
     });
     insns.push(Insn::Ret);
-    // 47 lands mid-run on the fourth iteration, not at a boundary.
-    for budget in [47u64, 48, 53, 200] {
+    for budget in 1..=60u64 {
         let (status, stats) = run_both_with(insns.clone(), vec![], |vm| {
             vm.set_insn_budget(budget);
         });
         assert_eq!(status, ExitStatus::Faulted(Fault::BudgetExhausted));
         assert_eq!(stats.instructions, budget);
     }
+    // The outer run's per-op fallback passes through the nested run's
+    // leader, which meets the same budget edge: one handoff, not two.
+    let mut vm = Vm::new(
+        &asm(insns, vec![]),
+        VmConfig {
+            no_fuse: false,
+            insn_budget: 5,
+            ..VmConfig::new(MachineKind::EpycRome.config())
+        },
+    );
+    assert_eq!(vm.run().status, ExitStatus::Faulted(Fault::BudgetExhausted));
+    assert_eq!(vm.edge_stats().slow_path_handoffs, 1);
 }
 
 /// An indirect jump into the middle of a block run (a non-leader
